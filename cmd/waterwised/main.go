@@ -68,14 +68,16 @@
 //	               histograms, round/job traces) — the
 //	               obs-off arm of the overhead benchmark
 //	-record-metrics keep a bounded in-process time-series
-//	               history of /metrics, scraped once per round;
-//	               query it with GET /v1/query (default: off)
+//	               history of /metrics, scraped inline at the end
+//	               of a round; query it with GET /v1/query
+//	               (default: off)
 //	-record-budget-mb memory budget for recorded history; the
 //	               oldest window is evicted past it (default 8)
 //	-record-interval minimum wall-clock spacing between recorder
-//	               scrapes; accelerated rounds coalesce to the
-//	               newest one per interval (default 250ms, 0 =
-//	               scrape every round)
+//	               scrapes; rounds that end inside it are not
+//	               scraped (counted as coalesced), and the last
+//	               round is recorded at shutdown (default 250ms,
+//	               0 = scrape every round)
 //	-slo           comma-separated SLO objectives with
 //	               multi-window burn-rate alerting on the
 //	               recorded history (implies -record-metrics):
@@ -263,7 +265,7 @@ func run() error {
 		noObs       = flag.Bool("no-obs", false, "disable the observability layer (histograms, round/job traces)")
 		recordTS    = flag.Bool("record-metrics", false, "keep a bounded in-process time-series history of /metrics (query via /v1/query)")
 		recordMB    = flag.Int("record-budget-mb", 0, "memory budget in MiB for recorded metrics history (0 = default 8)")
-		recordIv    = flag.Duration("record-interval", 250*time.Millisecond, "minimum wall-clock spacing between recorder scrapes (0 = every round)")
+		recordIv    = flag.Duration("record-interval", 250*time.Millisecond, "minimum wall-clock spacing between recorder scrapes; rounds inside it count as coalesced (0 = scrape every round)")
 		sloCSV      = flag.String("slo", "", `SLO objectives with burn-rate alerting, e.g. "availability:0.999,latency:0.99@250ms" (implies -record-metrics)`)
 	)
 	flag.Parse()

@@ -246,7 +246,7 @@ func Lookup(id string) (Experiment, error) {
 			ids = append(ids, k)
 		}
 		sort.Strings(ids)
-		return Experiment{}, fmt.Errorf("experiments: unknown id %q (have: %s)", id, strings.Join(ids, ", "))
+		return Experiment{}, fmt.Errorf("unknown experiment id %q (have: %s)", id, strings.Join(ids, ", "))
 	}
 	return e, nil
 }

@@ -301,15 +301,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	if cfg.Record.Enable {
-		rec, err := tsdb.New(tsdb.Config{
-			Gather:            func() []byte { return f.MetricsText() },
-			MemoryBudgetBytes: cfg.Record.MemoryBudgetBytes,
-			ScrapeEvery:       cfg.Record.ScrapeEvery,
-			MinInterval:       cfg.Record.MinInterval,
-			Sync:              cfg.Record.Sync,
-			Objectives:        cfg.Record.SLOs,
-			Logf:              cfg.Record.Logf,
-		})
+		rec, err := server.NewRecorder(cfg.Record, f.MetricsText)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
@@ -543,7 +535,8 @@ func (f *Fleet) Stop() {
 	f.mu.Unlock()
 	if f.recorder != nil {
 		// All round loops are down, so no more Observe calls arrive; Close
-		// drains the async scraper. The store stays queryable after Stop.
+		// records the last round if the floor skipped it. The store stays
+		// queryable after Stop.
 		f.recorder.Close()
 	}
 }

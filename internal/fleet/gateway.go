@@ -34,7 +34,7 @@ func (f *Fleet) Handler() http.Handler {
 		return ds, next
 	}))
 	mux.HandleFunc(server.PathStatus, server.StatusHandler(func() interface{} { return f.Status() }))
-	mux.HandleFunc(server.PathMetrics, f.handleMetrics)
+	mux.HandleFunc(server.PathMetrics, server.MetricsHandler(f.MetricsText))
 	mux.HandleFunc(server.PathQuery, server.QueryHandler(f.Recorder))
 	mux.HandleFunc(server.PathAlerts, server.AlertsHandler(f.Recorder))
 	return mux

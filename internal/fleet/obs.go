@@ -47,17 +47,6 @@ func (f *Fleet) ObsSnapshots() *server.ObsSnapshots {
 	return merged
 }
 
-// ShardObsSnapshots returns each shard's own histogram counters,
-// indexed by shard (entries nil when observability is disabled).
-func (f *Fleet) ShardObsSnapshots() []*server.ObsSnapshots {
-	shards := f.shardList()
-	out := make([]*server.ObsSnapshots, len(shards))
-	for i, s := range shards {
-		out[i] = s.ObsSnapshots()
-	}
-	return out
-}
-
 // SlowestRounds returns the slowest scheduling rounds across every
 // shard, slowest first, each stamped with its owning shard — the
 // fleet's /v1/rounds/slowest view. Nil when observability is disabled.

@@ -138,6 +138,11 @@ func TestParsePromStrict(t *testing.T) {
 		{"bad value", "# HELP foo Docs.\n# TYPE foo gauge\nfoo abc\n"},
 		{"unbalanced label quote", "# HELP foo Docs.\n# TYPE foo gauge\nfoo{a=\"b} 1\n"},
 		{"garbage line", "# HELP foo Docs.\n# TYPE foo gauge\nfoo 1\nnot a metric line!\n"},
+		{"family resumes after another", "# HELP foo Docs.\n# TYPE foo gauge\n# HELP bar Docs.\n# TYPE bar gauge\n" +
+			"foo{s=\"0\"} 1\nbar 2\nfoo{s=\"1\"} 3\n"},
+		{"summary _bucket series", "# HELP s Docs.\n# TYPE s summary\ns_bucket{le=\"1\"} 1\n"},
+		{"histogram resumes after another", "# HELP h Docs.\n# TYPE h histogram\n# HELP g Docs.\n# TYPE g gauge\n" +
+			"h_bucket{s=\"0\",le=\"+Inf\"} 1\nh_sum{s=\"0\"} 1\nh_count{s=\"0\"} 1\ng 2\nh_count{s=\"1\"} 0\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseProm([]byte(c.in)); err == nil {

@@ -28,13 +28,17 @@ type PromFamily struct {
 
 // ParseProm parses a Prometheus text-format exposition strictly: every
 // sample must belong to a family declared with both # HELP and # TYPE
-// before its first sample, names and labels must be well-formed, values
-// must parse, and no series may repeat. It returns the families keyed by
-// name. This is the parser behind LintProm, the CI metrics-lint job, and
-// loadgen's server-side percentile scrape.
+// before its first sample, each family's samples must form one group
+// (a histogram's _bucket/_sum/_count series count as its own), names and
+// labels must be well-formed, values must parse, and no series may
+// repeat. It returns the families keyed by name. This is the parser
+// behind LintProm, the CI metrics-lint job, the flight recorder's
+// scrape, and loadgen's server-side percentile scrape.
 func ParseProm(data []byte) (map[string]*PromFamily, error) {
 	families := make(map[string]*PromFamily)
-	seen := make(map[string]bool) // series dedupe: name + sorted labels
+	seen := make(map[string]bool)   // series dedupe: name + sorted labels
+	closed := make(map[string]bool) // families whose sample group has ended
+	var current string              // family of the previous sample
 	var lineNo int
 	for _, line := range strings.Split(string(data), "\n") {
 		lineNo++
@@ -89,6 +93,13 @@ func ParseProm(data []byte) (map[string]*PromFamily, error) {
 		}
 		if fam.Type != "histogram" && fam.Type != "summary" && s.Name != fam.Name {
 			return nil, fmt.Errorf("line %d: series %s does not match its family name %s", lineNo, s.Name, fam.Name)
+		}
+		if fam.Name != current {
+			if closed[fam.Name] {
+				return nil, fmt.Errorf("line %d: samples of %s resume after %s's; a family's lines must form one group", lineNo, fam.Name, current)
+			}
+			closed[current] = true
+			current = fam.Name
 		}
 		key := seriesKey(s)
 		if seen[key] {
@@ -408,14 +419,15 @@ func parseLabels(body string) (map[string]string, error) {
 }
 
 // familyOf resolves a sample name to its declared family: exact match,
-// or the base name of a histogram/summary suffix.
+// or the base name of a histogram's _bucket/_sum/_count or a summary's
+// _sum/_count series.
 func familyOf(name string, families map[string]*PromFamily) string {
 	if f, ok := families[name]; ok && f.Type != "" {
 		return name
 	}
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		if base, ok := strings.CutSuffix(name, suffix); ok {
-			if f, exists := families[base]; exists && (f.Type == "histogram" || f.Type == "summary") {
+			if f, exists := families[base]; exists && (f.Type == "histogram" || (f.Type == "summary" && suffix != "_bucket")) {
 				return base
 			}
 		}

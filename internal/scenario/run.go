@@ -170,17 +170,15 @@ func runFull(s Spec, opt RunOptions) (*Report, []fleet.Decision, error) {
 		WALSyncDelay: func() time.Duration { return time.Duration(r.fsyncDelay.Load()) },
 	}
 	if len(s.Objectives) > 0 || len(s.SLOs.Windows) > 0 {
-		// Sync mode, deliberately: the scrape runs inline on the round
-		// thread, so every round lands in the store and windowed
-		// assertions see a round-exact history — async coalescing under
-		// CPU pressure can collapse a whole run into one scrape, leaving
-		// every asserted window empty. Sync scraping is safe here because
-		// recorded specs submit their trace up front: with no mid-run
-		// submission pacing to perturb, stretching a round cannot change
-		// any decision (TestRecorderEquivalence pins this).
+		// No MinInterval floor, deliberately: every round is scraped, so
+		// windowed assertions see a round-exact history — a wall-clock
+		// floor would let a fast run collapse into a handful of scrapes,
+		// leaving asserted windows empty. Scraping every round is safe
+		// here because recorded specs submit their trace up front: with
+		// no mid-run submission pacing to perturb, stretching a round
+		// cannot change any decision (TestRecorderEquivalence pins this).
 		fcfg.Record = server.RecordConfig{
 			Enable: true,
-			Sync:   true,
 			SLOs:   s.Objectives,
 			Logf:   opt.Logf,
 		}

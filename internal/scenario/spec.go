@@ -243,7 +243,7 @@ type SLOSpec struct {
 	MinFsyncP99Ms float64 `json:"min_fsync_p99_ms,omitempty"`
 	// Windows are time-indexed assertions against the run's recorded
 	// metrics history; any entry (or any Spec.Objectives) arms the
-	// fleet's flight recorder in deterministic sync mode.
+	// fleet's flight recorder, scraping every round (no wall-clock floor).
 	Windows []WindowAssertion `json:"windows,omitempty"`
 }
 

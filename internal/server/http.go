@@ -101,7 +101,7 @@ func (s *Server) Handler() http.Handler {
 		return ds, next
 	}))
 	mux.HandleFunc(PathStatus, StatusHandler(func() interface{} { return s.Status() }))
-	mux.HandleFunc(PathMetrics, s.handleMetrics)
+	mux.HandleFunc(PathMetrics, MetricsHandler(s.MetricsText))
 	mux.HandleFunc(PathQuery, QueryHandler(s.Recorder))
 	mux.HandleFunc(PathAlerts, AlertsHandler(s.Recorder))
 	return mux

@@ -4,23 +4,25 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"waterwise/internal/feed"
+	"waterwise/internal/obs"
 	"waterwise/internal/region"
 )
 
-// handleMetrics serves Prometheus text-format gauges and counters for the
-// service: ingest, rounds, decisions, queue depth, and — when the scheduler
-// exposes them — solver instrumentation (nodes, simplex iterations,
-// warm-start hit rate).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+// MetricsHandler builds the GET /metrics handler over an exposition
+// renderer — shared by the single server and the fleet gateway.
+func MetricsHandler(render func() []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = w.Write(render())
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(s.MetricsText())
 }
 
 // MetricsText renders the full exposition as bytes. Split from the HTTP
@@ -28,57 +30,193 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the round clock — one renderer, two consumers.
 func (s *Server) MetricsText() []byte {
 	st := s.Status()
-	var b []byte
-	counter := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)...)
-	}
-	gauge := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)...)
-	}
-	b = AppendBuildInfo(b)
-	counter("waterwise_jobs_accepted_total", "Jobs accepted into the ingest queue.", float64(st.Accepted))
-	counter("waterwise_jobs_rejected_total", "Jobs rejected (backpressure, validation, duplicates).", float64(st.Rejected))
-	counter("waterwise_rounds_total", "Scheduling rounds run.", float64(st.Rounds))
-	counter("waterwise_decisions_total", "Placement decisions committed.", float64(st.Decisions))
-	counter("waterwise_jobs_unscheduled_total", "Jobs abandoned without a placement.", float64(st.Unscheduled))
-	gauge("waterwise_queue_pending", "Jobs awaiting a placement decision.", float64(st.Pending))
-	gauge("waterwise_queue_future", "Accepted jobs not yet due for a round.", float64(st.Future))
-	gauge("waterwise_queue_cap", "Ingest queue capacity (backpressure threshold).", float64(st.QueueCap))
-	b = AppendObsMetrics(b, s.ObsSnapshots(), "waterwise_", "", true)
-	// Per-region free servers, in stable region order.
-	ids := make([]string, 0, len(st.Free))
-	for id := range st.Free {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	b = append(b, "# HELP waterwise_region_free_servers Servers free per region at the simulated clock.\n# TYPE waterwise_region_free_servers gauge\n"...)
-	for _, id := range ids {
-		b = append(b, fmt.Sprintf("waterwise_region_free_servers{region=%q} %d\n", id, st.Free[region.ID(id)])...)
-	}
-	if st.Solver != nil {
-		counter("waterwise_solver_nodes_total", "Branch-and-bound nodes across all rounds.", float64(st.Solver.Nodes))
-		counter("waterwise_solver_simplex_iters_total", "Simplex pivots across all rounds.", float64(st.Solver.SimplexIters))
-		counter("waterwise_solver_warm_starts_total", "LP solves served by a warm start.", float64(st.Solver.WarmStarts))
-		counter("waterwise_solver_cold_starts_total", "LP solves run from scratch.", float64(st.Solver.ColdStarts))
-		counter("waterwise_solver_wall_seconds_total", "Aggregate solver wall time.", st.Solver.Wall.Seconds())
-	}
-	if st.WAL != nil {
-		counter("waterwise_jobs_deduped_total", "Idempotent re-submits served from the dedupe index.", float64(st.WAL.Deduped))
-		gauge("waterwise_wal_segments", "Write-ahead log segment files on disk.", float64(st.WAL.Segments))
-		gauge("waterwise_wal_bytes", "Write-ahead log size on disk (snapshots excluded).", float64(st.WAL.Bytes))
-		counter("waterwise_wal_records_appended_total", "Records appended to the write-ahead log.", float64(st.WAL.Appended))
-		counter("waterwise_wal_records_synced_total", "Appended records made durable by an fsync.", float64(st.WAL.Synced))
-		counter("waterwise_wal_fsyncs_total", "Fsync batches flushed to the log.", float64(st.WAL.Fsyncs))
-		gauge("waterwise_wal_fsync_stall_p50_ms", "Median fsync stall over the recent window.", float64(st.WAL.FsyncP50)/1e6)
-		gauge("waterwise_wal_fsync_stall_p99_ms", "99th-percentile fsync stall over the recent window.", float64(st.WAL.FsyncP99)/1e6)
-		counter("waterwise_wal_snapshots_total", "State snapshots written.", float64(st.WAL.Snapshots))
-		counter("waterwise_wal_truncated_bytes_total", "Torn-tail bytes discarded at the last recovery.", float64(st.WAL.TruncatedBytes))
-		gauge("waterwise_wal_recovery_ms", "Wall time of the last restart's snapshot restore + replay.", st.WAL.RecoveryMs)
-		counter("waterwise_wal_recovered_records_total", "Log records replayed at the last restart.", float64(st.WAL.RecoveredRecords))
-	}
+	b := AppendBuildInfo(nil)
+	b = AppendServerMetrics(b, []MetricsRow{{Status: &st, Obs: s.ObsSnapshots()}})
 	b = AppendFeedMetrics(b, st.Feed)
 	if s.recorder != nil {
 		b = s.recorder.AppendMetrics(b, "waterwise_")
+	}
+	return b
+}
+
+// MetricsRow is one source of the per-server families: a server's Status
+// and histogram snapshots (nil when observability is off), with Labels
+// spliced into every series — empty for a standalone server, shard="N"
+// for each shard behind the fleet gateway.
+type MetricsRow struct {
+	Labels string
+	Status *Status
+	Obs    *ObsSnapshots
+}
+
+// family is one counter or gauge rendered from a Status.
+type family struct {
+	name, typ, help string
+	value           func(*Status) float64
+}
+
+var coreFamilies = []family{
+	{"waterwise_jobs_accepted_total", "counter", "Jobs accepted into the ingest queue.",
+		func(st *Status) float64 { return float64(st.Accepted) }},
+	{"waterwise_jobs_rejected_total", "counter", "Jobs rejected (backpressure, validation, duplicates).",
+		func(st *Status) float64 { return float64(st.Rejected) }},
+	{"waterwise_rounds_total", "counter", "Scheduling rounds run.",
+		func(st *Status) float64 { return float64(st.Rounds) }},
+	{"waterwise_decisions_total", "counter", "Placement decisions committed.",
+		func(st *Status) float64 { return float64(st.Decisions) }},
+	{"waterwise_jobs_unscheduled_total", "counter", "Jobs abandoned without a placement.",
+		func(st *Status) float64 { return float64(st.Unscheduled) }},
+	{"waterwise_queue_pending", "gauge", "Jobs awaiting a placement decision.",
+		func(st *Status) float64 { return float64(st.Pending) }},
+	{"waterwise_queue_future", "gauge", "Accepted jobs not yet due for a round.",
+		func(st *Status) float64 { return float64(st.Future) }},
+	{"waterwise_queue_cap", "gauge", "Ingest queue capacity (backpressure threshold).",
+		func(st *Status) float64 { return float64(st.QueueCap) }},
+}
+
+// solverFamilies render for rows whose scheduler exposes solver stats.
+var solverFamilies = []family{
+	{"waterwise_solver_nodes_total", "counter", "Branch-and-bound nodes across all rounds.",
+		func(st *Status) float64 { return float64(st.Solver.Nodes) }},
+	{"waterwise_solver_simplex_iters_total", "counter", "Simplex pivots across all rounds.",
+		func(st *Status) float64 { return float64(st.Solver.SimplexIters) }},
+	{"waterwise_solver_warm_starts_total", "counter", "LP solves served by a warm start.",
+		func(st *Status) float64 { return float64(st.Solver.WarmStarts) }},
+	{"waterwise_solver_cold_starts_total", "counter", "LP solves run from scratch.",
+		func(st *Status) float64 { return float64(st.Solver.ColdStarts) }},
+	{"waterwise_solver_wall_seconds_total", "counter", "Aggregate solver wall time.",
+		func(st *Status) float64 { return st.Solver.Wall.Seconds() }},
+}
+
+// walFamilies render for rows with a write-ahead log (DataDir set).
+var walFamilies = []family{
+	{"waterwise_jobs_deduped_total", "counter", "Idempotent re-submits served from the dedupe index.",
+		func(st *Status) float64 { return float64(st.WAL.Deduped) }},
+	{"waterwise_wal_segments", "gauge", "Write-ahead log segment files on disk.",
+		func(st *Status) float64 { return float64(st.WAL.Segments) }},
+	{"waterwise_wal_bytes", "gauge", "Write-ahead log size on disk (snapshots excluded).",
+		func(st *Status) float64 { return float64(st.WAL.Bytes) }},
+	{"waterwise_wal_records_appended_total", "counter", "Records appended to the write-ahead log.",
+		func(st *Status) float64 { return float64(st.WAL.Appended) }},
+	{"waterwise_wal_records_synced_total", "counter", "Appended records made durable by an fsync.",
+		func(st *Status) float64 { return float64(st.WAL.Synced) }},
+	{"waterwise_wal_fsyncs_total", "counter", "Fsync batches flushed to the log.",
+		func(st *Status) float64 { return float64(st.WAL.Fsyncs) }},
+	{"waterwise_wal_fsync_stall_p50_ms", "gauge", "Median fsync stall over the recent window.",
+		func(st *Status) float64 { return float64(st.WAL.FsyncP50) / 1e6 }},
+	{"waterwise_wal_fsync_stall_p99_ms", "gauge", "99th-percentile fsync stall over the recent window.",
+		func(st *Status) float64 { return float64(st.WAL.FsyncP99) / 1e6 }},
+	{"waterwise_wal_snapshots_total", "counter", "State snapshots written.",
+		func(st *Status) float64 { return float64(st.WAL.Snapshots) }},
+	{"waterwise_wal_truncated_bytes_total", "counter", "Torn-tail bytes discarded at the last recovery.",
+		func(st *Status) float64 { return float64(st.WAL.TruncatedBytes) }},
+	{"waterwise_wal_recovery_ms", "gauge", "Wall time of the last restart's snapshot restore + replay.",
+		func(st *Status) float64 { return st.WAL.RecoveryMs }},
+	{"waterwise_wal_recovered_records_total", "counter", "Log records replayed at the last restart.",
+		func(st *Status) float64 { return float64(st.WAL.RecoveredRecords) }},
+}
+
+// AppendServerMetrics renders every per-server family once — one
+// # HELP/# TYPE header, then that family's samples for every row — so
+// each family's lines form one group, as the text format requires. The
+// single server passes one unlabeled row; the fleet gateway passes one
+// shard-labeled row per shard. Solver and WAL families render for the
+// rows that have them and are omitted when none do.
+func AppendServerMetrics(b []byte, rows []MetricsRow) []byte {
+	all := func(*Status) bool { return true }
+	b = appendFamilies(b, rows, coreFamilies, all)
+	b = AppendObsMetrics(b, "waterwise_", rows)
+	b = append(b, "# HELP waterwise_region_free_servers Servers free per region at the simulated clock.\n# TYPE waterwise_region_free_servers gauge\n"...)
+	for _, r := range rows {
+		// Per-region free servers, in stable region order.
+		ids := make([]string, 0, len(r.Status.Free))
+		for id := range r.Status.Free {
+			ids = append(ids, string(id))
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			b = appendSeries(b, "waterwise_region_free_servers", joinLabels("region="+strconv.Quote(id), r.Labels))
+			b = strconv.AppendInt(b, int64(r.Status.Free[region.ID(id)]), 10)
+			b = append(b, '\n')
+		}
+	}
+	b = appendFamilies(b, rows, solverFamilies, func(st *Status) bool { return st.Solver != nil })
+	return appendFamilies(b, rows, walFamilies, func(st *Status) bool { return st.WAL != nil })
+}
+
+// appendFamilies renders each family in fams over the rows for which has
+// holds; a family with no such row is omitted, header included.
+func appendFamilies(b []byte, rows []MetricsRow, fams []family, has func(*Status) bool) []byte {
+	for _, f := range fams {
+		wrote := false
+		for _, r := range rows {
+			if !has(r.Status) {
+				continue
+			}
+			if !wrote {
+				b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+				wrote = true
+			}
+			b = appendSeries(b, f.name, r.Labels)
+			b = strconv.AppendFloat(b, f.value(r.Status), 'g', -1, 64)
+			b = append(b, '\n')
+		}
+	}
+	return b
+}
+
+// appendSeries renders a sample line's `name{labels} ` prefix.
+func appendSeries(b []byte, name, labels string) []byte {
+	b = append(b, name...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	return append(b, ' ')
+}
+
+// joinLabels joins two comma-separated label lists, either possibly empty.
+func joinLabels(a, b string) string {
+	if a == "" || b == "" {
+		return a + b
+	}
+	return a + "," + b
+}
+
+// AppendObsMetrics renders the observability histograms in Prometheus
+// text format, family by family over the rows that have snapshots:
+// <prefix>decision_latency_seconds, <prefix>ingest_request_seconds,
+// <prefix>round_duration_seconds, and <prefix>round_stage_seconds{stage=...}.
+// The per-server families use prefix "waterwise_"; the fleet renders its
+// shard-merged distributions as one unlabeled row under "waterwise_fleet_".
+func AppendObsMetrics(b []byte, prefix string, rows []MetricsRow) []byte {
+	hist := func(name, help string, snap func(*ObsSnapshots) *obs.Snapshot) {
+		first := true
+		for _, r := range rows {
+			if r.Obs != nil {
+				b = snap(r.Obs).AppendProm(b, prefix+name, help, r.Labels, first)
+				first = false
+			}
+		}
+	}
+	hist("decision_latency_seconds", "Server-side decision latency: Submit acceptance to round commit (wall seconds).",
+		func(s *ObsSnapshots) *obs.Snapshot { return &s.Decision })
+	hist("ingest_request_seconds", "POST /v1/jobs handler wall time in seconds.",
+		func(s *ObsSnapshots) *obs.Snapshot { return &s.Ingest })
+	hist("round_duration_seconds", "Scheduling round wall time in seconds, all stages.",
+		func(s *ObsSnapshots) *obs.Snapshot { return &s.Round })
+	first := true
+	for _, r := range rows {
+		if r.Obs == nil {
+			continue
+		}
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			b = r.Obs.Stages[st].AppendProm(b, prefix+"round_stage_seconds",
+				"Per-stage round wall time in seconds; solve is Fig. 13's scheduler invocation cost.",
+				joinLabels("stage="+strconv.Quote(st.String()), r.Labels), first)
+			first = false
+		}
 	}
 	return b
 }

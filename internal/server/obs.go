@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -143,37 +142,6 @@ func (s *ObsSnapshots) Summary(sampleEvery int) *ObsSummary {
 		IngestP99Ms:    ms(ing.Quantile(0.99)),
 		JobSampleEvery: sampleEvery,
 	}
-}
-
-// AppendObsMetrics renders the observability histograms in Prometheus
-// text format: <prefix>decision_latency_seconds,
-// <prefix>ingest_request_seconds, <prefix>round_duration_seconds, and
-// <prefix>round_stage_seconds{stage=...}. labels is spliced into every
-// series (empty for the single server, shard="N" through the fleet);
-// withHeader emits the # HELP/# TYPE lines — the fleet passes true for
-// the first shard only, so each family has exactly one header. Shared
-// by the single server's /metrics, the fleet's per-shard series, and
-// the fleet's merged distributions (prefix "waterwise_fleet_").
-func AppendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, withHeader bool) []byte {
-	if snaps == nil {
-		return b
-	}
-	b = snaps.Decision.AppendProm(b, prefix+"decision_latency_seconds",
-		"Server-side decision latency: Submit acceptance to round commit (wall seconds).", labels, withHeader)
-	b = snaps.Ingest.AppendProm(b, prefix+"ingest_request_seconds",
-		"POST /v1/jobs handler wall time in seconds.", labels, withHeader)
-	b = snaps.Round.AppendProm(b, prefix+"round_duration_seconds",
-		"Scheduling round wall time in seconds, all stages.", labels, withHeader)
-	stageHelp := "Per-stage round wall time in seconds; solve is Fig. 13's scheduler invocation cost."
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		stageLabel := fmt.Sprintf("stage=%q", st.String())
-		if labels != "" {
-			stageLabel = labels + "," + stageLabel
-		}
-		snap := snaps.Stages[st]
-		b = snap.AppendProm(b, prefix+"round_stage_seconds", stageHelp, stageLabel, withHeader && st == 0)
-	}
-	return b
 }
 
 // ObsSnapshots exports the server's histogram counters for merging and

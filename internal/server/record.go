@@ -28,41 +28,30 @@ type RecordConfig struct {
 	// oldest windows are evicted beyond it, counted in
 	// waterwise_tsdb_evicted_chunks_total.
 	MemoryBudgetBytes int
-	// ScrapeEvery records once per that many rounds (default every round).
-	ScrapeEvery uint64
-	// MinInterval floors the wall-clock spacing of async scrapes (see
-	// tsdb.Config.MinInterval): an accelerated run's rounds can outpace
-	// any scraper, and the floor keeps recording at a few Hz instead of
-	// per-round. Zero means no floor; ignored in Sync mode.
+	// MinInterval floors the wall-clock spacing of scrapes, which run
+	// inline on the round loop's goroutine (see tsdb.Config.MinInterval):
+	// an accelerated run's rounds can outpace any scraper, and the floor
+	// keeps recording at a few Hz instead of per round; rounds inside it
+	// count in waterwise_tsdb_coalesced_rounds_total. Zero scrapes every
+	// round, making recorded history deterministic round for round —
+	// what scenarios and tests want.
 	MinInterval time.Duration
-	// Sync scrapes inline on the round loop's goroutine, making recorded
-	// history deterministic round for round — what scenarios and tests
-	// want. The default async mode hands rounds to a scraper goroutine
-	// that coalesces under pressure, keeping the round loop's added cost
-	// to an atomic store.
-	Sync bool
 	// SLOs arms the burn-rate alert engine (see tsdb.Objective).
 	SLOs []tsdb.Objective
 	// Logf receives alert transitions and scrape failures; nil disables.
 	Logf func(format string, args ...any)
 }
 
-// newRecorder builds the server's recorder over its own exposition.
-func (s *Server) newRecorder() error {
-	rec, err := tsdb.New(tsdb.Config{
-		Gather:            func() []byte { return s.MetricsText() },
-		MemoryBudgetBytes: s.cfg.Record.MemoryBudgetBytes,
-		ScrapeEvery:       s.cfg.Record.ScrapeEvery,
-		MinInterval:       s.cfg.Record.MinInterval,
-		Sync:              s.cfg.Record.Sync,
-		Objectives:        s.cfg.Record.SLOs,
-		Logf:              s.cfg.Record.Logf,
+// NewRecorder builds a flight recorder over an exposition renderer —
+// the server's own MetricsText, or the fleet gateway's.
+func NewRecorder(cfg RecordConfig, gather func() []byte) (*tsdb.Recorder, error) {
+	return tsdb.New(tsdb.Config{
+		Gather:            gather,
+		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
+		MinInterval:       cfg.MinInterval,
+		Objectives:        cfg.SLOs,
+		Logf:              cfg.Logf,
 	})
-	if err != nil {
-		return err
-	}
-	s.recorder = rec
-	return nil
 }
 
 // Recorder exposes the flight recorder for queries; nil when recording is
@@ -72,14 +61,23 @@ func (s *Server) Recorder() *tsdb.Recorder { return s.recorder }
 // notifyRound runs the end-of-round hooks — the recorder scrape and the
 // owner's OnRound callback. Called by the round loops with mu released:
 // the recorder's gather path re-enters Status, and holding mu here would
-// deadlock (and would bill scrape time to the scheduling lock).
+// deadlock (and would bill scrape time to the scheduling lock). It then
+// wakes Drain, so a drained server's recorded history holds its last
+// round.
 func (s *Server) notifyRound(rounds uint64) {
+	if s.recorder == nil && s.cfg.OnRound == nil {
+		return
+	}
 	if s.recorder != nil {
 		s.recorder.Observe(rounds)
 	}
 	if s.cfg.OnRound != nil {
 		s.cfg.OnRound(rounds)
 	}
+	s.mu.Lock()
+	s.hooksPending = false
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // AppendBuildInfo renders the waterwise_build_info gauge: constant 1 with

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRecorderEquivalence pins the flight recorder's honesty bar: a
-// replay with the recorder scraping every round (sync, with SLO
+// replay with the recorder scraping every round (no floor, with SLO
 // objectives armed) produces the same decisions as one with no recorder
 // at all, decision for decision. Recording is measurement only.
 func TestRecorderEquivalence(t *testing.T) {
@@ -26,7 +26,6 @@ func TestRecorderEquivalence(t *testing.T) {
 		if record {
 			cfg.Record = RecordConfig{
 				Enable: true,
-				Sync:   true,
 				SLOs: []tsdb.Objective{
 					{Name: "availability", Target: 0.999,
 						Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"},
@@ -77,7 +76,7 @@ func TestRecorderEndpoints(t *testing.T) {
 	jobs := genTrace(t, env, 3000, 6)
 	srv, err := New(Config{
 		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
-		Record: RecordConfig{Enable: true, Sync: true,
+		Record: RecordConfig{Enable: true,
 			SLOs: []tsdb.Objective{{Name: "availability", Target: 0.999,
 				Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"}}},
 	})

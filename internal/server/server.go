@@ -340,6 +340,9 @@ type Server struct {
 
 	// recorder is the metrics flight recorder (nil unless Record.Enable).
 	recorder *tsdb.Recorder
+	// hooksPending marks a round whose end-of-round hooks (recorder
+	// scrape, OnRound) have not run yet; Drain waits them out.
+	hooksPending bool
 
 	started  bool
 	stopped  bool
@@ -385,7 +388,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Record.Enable {
-		if err := s.newRecorder(); err != nil {
+		if s.recorder, err = NewRecorder(cfg.Record, s.MetricsText); err != nil {
 			return nil, err
 		}
 	}
@@ -580,8 +583,9 @@ func (s *Server) Stop() {
 	}
 	s.mu.Unlock()
 	if s.recorder != nil {
-		// The loop is down, so no more rounds arrive; Close drains the
-		// async scraper. The store stays queryable after Stop.
+		// The loop is down, so no more rounds arrive; Close records the
+		// last round if the floor skipped it. The store stays queryable
+		// after Stop.
 		s.recorder.Close()
 	}
 }
@@ -599,8 +603,9 @@ func (s *Server) abandonLocked() {
 }
 
 // Drain blocks until the ingest queue and pending set are empty (the
-// accelerated replay's "trace fully scheduled" condition), the round loop
-// fails, or the context expires.
+// accelerated replay's "trace fully scheduled" condition) and the last
+// round's end-of-round hooks have run, the round loop fails, or the
+// context expires.
 func (s *Server) Drain(ctx context.Context) error {
 	wake := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
@@ -610,7 +615,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer wake()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.future)+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
+	for (len(s.future)+s.sim.Pending() > 0 || s.hooksPending) && !s.stopped && s.runErr == nil && ctx.Err() == nil {
 		s.cond.Wait()
 	}
 	if s.runErr != nil {
@@ -946,6 +951,7 @@ func (s *Server) roundLocked() {
 	solve := time.Since(t0)
 	s.overheadSum += solve
 	s.rounds++
+	s.hooksPending = s.recorder != nil || s.cfg.OnRound != nil
 	if err != nil {
 		s.runErr = err
 		s.cond.Broadcast()

@@ -1,5 +1,6 @@
-// The recorder ties the store to a metrics exposition: on every scheduler
-// round it gathers the Prometheus text the server already serves, parses
+// The recorder ties the store to a metrics exposition: at the end of a
+// scheduler round (at most once per Config.MinInterval of wall time) it
+// gathers the Prometheus text the server already serves, parses
 // it with the strict in-repo parser, appends every sample at the round
 // index, and re-evaluates the SLO engine. Scraping its own exposition —
 // rather than reaching into internals — means anything rendered on
@@ -10,7 +11,6 @@ package tsdb
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"waterwise/internal/obs"
@@ -24,23 +24,14 @@ type Config struct {
 	Gather func() []byte
 	// MemoryBudgetBytes bounds the compressed store; <= 0 means 8 MiB.
 	MemoryBudgetBytes int
-	// ScrapeEvery scrapes once per that many rounds; <= 0 means every
-	// round.
-	ScrapeEvery uint64
-	// Sync scrapes inline on the round-clock callers' goroutine, making
-	// recorded history deterministic — what scenarios and tests want. The
-	// default (async) hands rounds to a scraper goroutine that coalesces
-	// to the newest round under pressure, bounding the cost added to the
-	// scheduling loop to an atomic store and a channel poke.
-	Sync bool
-	// MinInterval floors the wall-clock spacing of async scrapes: at most
-	// one scrape per interval, always recording the newest pending round
-	// (skips count as coalesced). An accelerated daemon can run hundreds
-	// of rounds per second, and a full gather+parse per round would eat
-	// the machine; a flight recorder at a few Hz loses nothing an
-	// operator asks about. Zero means no floor. Ignored in Sync mode,
-	// where determinism is the point, and by the Close drain, so the
-	// final round is always recorded.
+	// MinInterval floors the wall-clock spacing of scrapes: a round that
+	// completes within MinInterval of the last scrape is not scraped
+	// (counted as coalesced), and the next round past the floor is. An
+	// accelerated daemon can run hundreds of rounds per second, and a
+	// full gather+parse per round would eat the machine; a flight
+	// recorder at a few Hz loses nothing an operator asks about. Zero
+	// scrapes every round, making recorded history deterministic round
+	// for round — what scenarios and tests want.
 	MinInterval time.Duration
 	// Objectives arms the SLO engine.
 	Objectives []Objective
@@ -54,9 +45,9 @@ type RecorderStats struct {
 	StoreStats
 	// Scrapes counts completed scrapes.
 	Scrapes uint64 `json:"scrapes"`
-	// CoalescedRounds counts rounds the async scraper skipped because a
-	// newer round was already pending — bounded-overhead by design, and
-	// visible rather than silent.
+	// CoalescedRounds counts observed rounds left unscraped because they
+	// fell inside MinInterval of the previous scrape — bounded overhead by
+	// design, and visible rather than silent.
 	CoalescedRounds uint64 `json:"coalesced_rounds"`
 	// ParseErrors counts scrapes dropped because the exposition failed
 	// the strict parser.
@@ -75,18 +66,18 @@ type Recorder struct {
 
 	obMu     sync.Mutex // serializes Observe callers (fleet shards race)
 	lastSeen uint64     // newest round handed to Observe
+	lastAt   time.Time  // wall time the last scrape finished
+	skipped  bool       // lastSeen fell inside the floor, unscraped
+	closed   bool
 
-	mu          sync.Mutex // guards scrape state + engine
+	// mu guards scrape state + engine. It is never held across Gather,
+	// which re-enters Stats through the exposition's recorder block.
+	mu          sync.Mutex
 	lastScraped uint64
 	scrapes     uint64
 	coalesced   uint64
 	parseErrors uint64
 	engine      *sloEngine
-
-	pending atomic.Uint64
-	wake    chan struct{}
-	done    chan struct{}
-	closed  atomic.Bool
 }
 
 // New builds a Recorder. The SLO objectives are validated here so a bad
@@ -95,87 +86,35 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Gather == nil {
 		return nil, fmt.Errorf("tsdb: Config.Gather is required")
 	}
-	if cfg.ScrapeEvery == 0 {
-		cfg.ScrapeEvery = 1
-	}
 	engine, err := newSLOEngine(cfg.Objectives, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{
-		cfg:    cfg,
-		store:  NewStore(cfg.MemoryBudgetBytes),
-		engine: engine,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	if !cfg.Sync {
-		go r.loop()
-	} else {
-		close(r.done)
-	}
-	return r, nil
+	return &Recorder{cfg: cfg, store: NewStore(cfg.MemoryBudgetBytes), engine: engine}, nil
 }
 
-// Observe notes that round `round` completed. Non-increasing rounds are
-// ignored, so fleet shards can all report their own counts and the
-// recorder tracks the maximum — the fleet's progress clock.
+// Observe notes that round `round` completed and scrapes it inline on the
+// caller's goroutine unless the last scrape was less than MinInterval
+// ago. Non-increasing rounds are ignored, so fleet shards can all report
+// their own counts and the recorder tracks the maximum — the fleet's
+// progress clock. Concurrent callers serialize here, so every scraped
+// round is scraped once and in order.
 func (r *Recorder) Observe(round uint64) {
 	r.obMu.Lock()
 	defer r.obMu.Unlock()
-	if round <= r.lastSeen || r.closed.Load() {
+	if round <= r.lastSeen || r.closed {
 		return
 	}
 	r.lastSeen = round
-	if round-r.lastScrapedSnapshot() < r.cfg.ScrapeEvery {
+	r.skipped = r.cfg.MinInterval > 0 && time.Since(r.lastAt) < r.cfg.MinInterval
+	if r.skipped {
+		r.mu.Lock()
+		r.coalesced++
+		r.mu.Unlock()
 		return
 	}
-	if r.cfg.Sync {
-		// Inline under obMu: concurrent round threads (fleet shards)
-		// serialize here, so every due round is scraped exactly once and
-		// in order — the determinism scenarios rely on.
-		r.scrape(round)
-		return
-	}
-	r.pending.Store(round)
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (r *Recorder) lastScrapedSnapshot() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastScraped
-}
-
-// loop is the async scraper: each wake-up scrapes the newest pending
-// round, counting the rounds it skipped past. With MinInterval set it
-// sleeps out the remainder of the floor first — and scrapes whatever
-// round is newest by then, so a burst of fast rounds costs one scrape.
-func (r *Recorder) loop() {
-	defer close(r.done)
-	var lastAt time.Time
-	for range r.wake {
-		if r.cfg.MinInterval > 0 && !lastAt.IsZero() && !r.closed.Load() {
-			if wait := r.cfg.MinInterval - time.Since(lastAt); wait > 0 {
-				time.Sleep(wait)
-			}
-		}
-		round := r.pending.Load()
-		last := r.lastScrapedSnapshot()
-		if round <= last {
-			continue
-		}
-		if skipped := (round - last) / r.cfg.ScrapeEvery; skipped > 1 {
-			r.mu.Lock()
-			r.coalesced += skipped - 1
-			r.mu.Unlock()
-		}
-		r.scrape(round)
-		lastAt = time.Now()
-	}
+	r.scrape(round)
+	r.lastAt = time.Now()
 }
 
 // scrape gathers, parses, appends, and re-evaluates alerts at `round`.
@@ -205,19 +144,22 @@ func (r *Recorder) scrape(round uint64) {
 	r.mu.Unlock()
 }
 
-// Close stops the async scraper and waits for it to drain. The store
-// stays queryable after Close.
+// Close records the newest observed round if the floor left it
+// unscraped, then stops recording: later Observe calls are ignored. The
+// store stays queryable after Close.
 func (r *Recorder) Close() {
 	r.obMu.Lock()
-	if r.closed.Swap(true) {
-		r.obMu.Unlock()
+	defer r.obMu.Unlock()
+	if r.closed {
 		return
 	}
-	if !r.cfg.Sync {
-		close(r.wake)
+	r.closed = true
+	if r.skipped {
+		r.mu.Lock()
+		r.coalesced--
+		r.mu.Unlock()
+		r.scrape(r.lastSeen)
 	}
-	r.obMu.Unlock()
-	<-r.done
 }
 
 // Store exposes the underlying store for queries.
@@ -289,7 +231,7 @@ func (r *Recorder) AppendMetrics(b []byte, prefix string) []byte {
 	counter("tsdb_evicted_chunks_total", "Oldest-window chunks evicted to stay under budget.", float64(st.EvictedChunks))
 	counter("tsdb_evicted_samples_total", "Samples lost to chunk eviction.", float64(st.EvictedSamples))
 	counter("tsdb_scrapes_total", "Completed round-clock scrapes.", float64(st.Scrapes))
-	counter("tsdb_coalesced_rounds_total", "Rounds skipped by the async scraper because a newer round was pending.", float64(st.CoalescedRounds))
+	counter("tsdb_coalesced_rounds_total", "Rounds left unscraped because they completed within the recorder's minimum scrape interval.", float64(st.CoalescedRounds))
 	counter("tsdb_parse_errors_total", "Scrapes dropped by the strict exposition parser.", float64(st.ParseErrors))
 	gauge("alerts_firing", "Burn-rate SLO alerts currently firing.", float64(st.AlertsFiring))
 	return b

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"waterwise/internal/obs"
 )
@@ -44,7 +45,7 @@ func TestObjectiveValidate(t *testing.T) {
 	}
 }
 
-// TestBurnRateFireAndClear drives a sync recorder through healthy rounds,
+// TestBurnRateFireAndClear drives a recorder through healthy rounds,
 // an error storm, and recovery, and checks the multi-window alert fires
 // during the storm and clears after it — and that the pre-storm blip of a
 // single bad round does NOT fire (the long window protects against it).
@@ -53,7 +54,6 @@ func TestBurnRateFireAndClear(t *testing.T) {
 	var logs []string
 	rec, err := New(Config{
 		Gather: func() []byte { return fakeExposition(good.Load(), bad.Load()) },
-		Sync:   true,
 		Objectives: []Objective{{
 			Name:   "availability",
 			Target: 0.9, // 10% budget: errFrac 0.5 = burn 5
@@ -124,7 +124,6 @@ func TestNoDataHoldsState(t *testing.T) {
 	var good, bad atomic.Uint64
 	rec, err := New(Config{
 		Gather: func() []byte { return fakeExposition(good.Load(), bad.Load()) },
-		Sync:   true,
 		Objectives: []Objective{{
 			Name: "avail", Target: 0.9,
 			Bad: "req_bad_total", Good: "req_good_total",
@@ -172,7 +171,6 @@ func TestLatencyObjective(t *testing.T) {
 	}
 	rec, err := New(Config{
 		Gather: gather,
-		Sync:   true,
 		Objectives: []Objective{{
 			Name: "latency", Target: 0.9,
 			Family: "lat_seconds", ThresholdMs: 100,
@@ -211,40 +209,59 @@ func TestLatencyObjective(t *testing.T) {
 	}
 }
 
-// TestRecorderAsyncCoalesce floods an async recorder and checks it
-// coalesces under pressure (bounded overhead) while still recording the
-// newest round after a drain.
-func TestRecorderAsyncCoalesce(t *testing.T) {
+// TestRecorderFloorCoalesce floods a recorder with rounds under a
+// wall-clock floor and checks it scrapes few of them, counts the rest as
+// coalesced, and records the newest round on Close.
+func TestRecorderFloorCoalesce(t *testing.T) {
 	var good atomic.Uint64
 	rec, err := New(Config{
-		Gather: func() []byte { return fakeExposition(good.Load(), 0) },
+		Gather:      func() []byte { return fakeExposition(good.Load(), 0) },
+		MinInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := uint64(1); r <= 500; r++ {
+	const rounds = 500
+	start := time.Now()
+	for r := uint64(1); r <= rounds; r++ {
 		good.Add(1)
 		rec.Observe(r)
+		if r%100 == 0 {
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
-	rec.Close() // drains the scraper
+	elapsed := time.Since(start)
 	st := rec.Stats()
-	if st.Scrapes == 0 {
-		t.Fatal("async recorder never scraped")
+	// One scrape opens the run, then at most one per floor interval.
+	if maxScrapes := 1 + uint64(elapsed/(50*time.Millisecond)); st.Scrapes == 0 || st.Scrapes > maxScrapes {
+		t.Fatalf("scrapes = %d over %v, want 1..%d", st.Scrapes, elapsed, maxScrapes)
 	}
-	if st.LastRound != 500 && st.CoalescedRounds == 0 {
-		// Either the drain caught round 500 or some rounds were coalesced;
-		// both being false means Observe lost rounds silently.
-		t.Errorf("last=%d coalesced=%d scrapes=%d", st.LastRound, st.CoalescedRounds, st.Scrapes)
+	if st.Scrapes+st.CoalescedRounds != rounds {
+		t.Errorf("scrapes %d + coalesced %d != %d observed rounds", st.Scrapes, st.CoalescedRounds, rounds)
 	}
-	if _, ok := rec.Increase("req_good_total", 10, 0); !ok {
-		t.Error("no recorded data after async run")
+	rec.Close()
+	st = rec.Stats()
+	if st.LastRound != rounds {
+		t.Errorf("last recorded round after Close = %d, want %d", st.LastRound, rounds)
+	}
+	if st.Scrapes+st.CoalescedRounds != rounds {
+		t.Errorf("after Close: scrapes %d + coalesced %d != %d observed rounds", st.Scrapes, st.CoalescedRounds, rounds)
+	}
+	if got := rec.Query("req_good_total", rounds, rounds); len(got) != 1 || got[0].Value != rounds {
+		t.Errorf("final round's sample = %+v, want req_good_total %d", got, rounds)
+	}
+	// Closed: later rounds are ignored, and a second Close is a no-op.
+	rec.Observe(rounds + 1)
+	rec.Close()
+	if again := rec.Stats(); again.Scrapes != st.Scrapes || again.LastRound != rounds {
+		t.Errorf("recorder moved after Close: %+v", again)
 	}
 }
 
 // TestRecorderMetricsBlock checks the recorder's own exposition block
 // parses and lints cleanly with the production prefix.
 func TestRecorderMetricsBlock(t *testing.T) {
-	rec, err := New(Config{Gather: func() []byte { return fakeExposition(1, 0) }, Sync: true})
+	rec, err := New(Config{Gather: func() []byte { return fakeExposition(1, 0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,25 +279,5 @@ func TestRecorderMetricsBlock(t *testing.T) {
 		if fams[want] == nil {
 			t.Errorf("family %s missing from recorder block", want)
 		}
-	}
-}
-
-// TestRecorderScrapeEvery pins the stride: ScrapeEvery=3 scrapes roughly
-// every third round, never more.
-func TestRecorderScrapeEvery(t *testing.T) {
-	rec, err := New(Config{
-		Gather:      func() []byte { return fakeExposition(1, 0) },
-		Sync:        true,
-		ScrapeEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	for r := uint64(1); r <= 30; r++ {
-		rec.Observe(r)
-	}
-	if st := rec.Stats(); st.Scrapes != 10 {
-		t.Errorf("scrapes = %d with stride 3 over 30 rounds, want 10", st.Scrapes)
 	}
 }
